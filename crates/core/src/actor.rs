@@ -16,8 +16,8 @@
 //!
 //! Determinism contract: an actor's entire contribution is a function of
 //! the `participant_seed` delivered in [`NodeEvent::IterationStart`] — the
-//! actor derives the same noise/encryption sub-streams as the monolithic
-//! runner's device closure, in the same order.  Actors never see the run's
+//! actor computes it with the same device function the simulated driver
+//! calls for every participant.  Actors never see the run's
 //! master RNG, and they never threshold-decrypt (their backend is rebuilt
 //! from public material only; the key shares stay with the coordinator).
 //!
@@ -27,7 +27,6 @@
 //! one side of a socket decodes identically on the other.
 
 use std::sync::Arc;
-
 
 use chiaroscuro_crypto::backend::CipherBackend;
 use chiaroscuro_crypto::encoding::FixedPointEncoder;
@@ -41,9 +40,8 @@ use chiaroscuro_node::frame::HEADER_BYTES;
 use chiaroscuro_node::{Actor, NodeEvent, NodeId, Phase};
 use chiaroscuro_timeseries::TimeSeries;
 
-use crate::diptych::{Diptych, PackedMeans};
 use crate::evalue::BackendVector;
-use crate::noise::NoiseShareVector;
+use crate::runner::Device;
 
 /// Encoded-frame overhead of one means-phase exchange message beyond the
 /// raw unit payload: the frame header plus the phase byte, the EESum
@@ -119,18 +117,6 @@ impl<'a> Reader<'a> {
 
 // --- provisioning (Hello) ---
 
-/// The lane-packing plan inputs: [`PackedEncoder::plan`] is a pure
-/// function, so shipping the inputs and re-planning on the node yields the
-/// coordinator's exact layout without serialising the encoder itself.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct PackingSpec {
-    pub(crate) capacity_bits: u64,
-    pub(crate) contributors: u64,
-    pub(crate) doubling_budget: u32,
-    pub(crate) max_abs_value: f64,
-    pub(crate) biased_vectors: u32,
-}
-
 /// Everything a node actor needs to participate: run shape, public cipher
 /// material, and the node's own series (in a deployment the series never
 /// leaves the device — here the coordinator is the simulation harness that
@@ -141,7 +127,11 @@ pub(crate) struct NodeSpec {
     pub(crate) series_length: u32,
     pub(crate) encoding_digits: u32,
     pub(crate) num_noise_shares: u32,
-    pub(crate) packing: Option<PackingSpec>,
+    /// The lane-packing plan inputs, `(plaintext capacity in bits, lane
+    /// budget)`: [`PackedEncoder::plan`] is a pure function, so shipping
+    /// the inputs and re-planning on the node yields the coordinator's
+    /// exact layout without serialising the encoder itself.
+    pub(crate) packing: Option<(u64, LaneBudget)>,
     pub(crate) public: Vec<u8>,
     pub(crate) series: Vec<f64>,
 }
@@ -154,13 +144,13 @@ impl NodeSpec {
         put_u32(&mut buf, self.encoding_digits);
         put_u32(&mut buf, self.num_noise_shares);
         match &self.packing {
-            Some(p) => {
+            Some((capacity_bits, budget)) => {
                 buf.push(1);
-                put_u64(&mut buf, p.capacity_bits);
-                put_u64(&mut buf, p.contributors);
-                put_u32(&mut buf, p.doubling_budget);
-                put_f64(&mut buf, p.max_abs_value);
-                put_u32(&mut buf, p.biased_vectors);
+                put_u64(&mut buf, *capacity_bits);
+                put_u64(&mut buf, budget.contributors as u64);
+                put_u32(&mut buf, budget.doubling_budget);
+                put_f64(&mut buf, budget.max_abs_value);
+                put_u32(&mut buf, budget.biased_vectors);
             }
             None => buf.push(0),
         }
@@ -181,13 +171,15 @@ impl NodeSpec {
         let num_noise_shares = r.u32();
         let packing = match r.u8() {
             0 => None,
-            1 => Some(PackingSpec {
-                capacity_bits: r.u64(),
-                contributors: r.u64(),
-                doubling_budget: r.u32(),
-                max_abs_value: r.f64(),
-                biased_vectors: r.u32(),
-            }),
+            1 => Some((
+                r.u64(),
+                LaneBudget {
+                    contributors: r.u64() as usize,
+                    doubling_budget: r.u32(),
+                    max_abs_value: r.f64(),
+                    biased_vectors: r.u32(),
+                },
+            )),
             other => panic!("unknown packing flag {other} in node spec"),
         };
         let public_len = r.u32() as usize;
@@ -262,10 +254,8 @@ fn decode_correction(bytes: &[u8], k: usize, series_length: usize) -> (u64, Vec<
 pub(crate) struct Readout<B: CipherBackend> {
     /// EESum weight (scaled; the divisor cancels in `value / weight`).
     pub(crate) weight: f64,
-    /// Push-pull counter σ.
-    pub(crate) sigma: f64,
-    /// Push-pull counter ω.
-    pub(crate) omega: f64,
+    /// Push-pull counter state (σ, ω).
+    pub(crate) counter: SumState,
     /// Min-id correction state `(id, flat payload)`, once proposals exist.
     pub(crate) correction: Option<(u64, Vec<f64>)>,
     /// The accumulated means/noise unit vector (reference node only).
@@ -280,8 +270,7 @@ pub(crate) fn decode_readout<B: CipherBackend>(
 ) -> Readout<B> {
     let mut r = Reader::new(bytes);
     let weight = r.f64();
-    let sigma = r.f64();
-    let omega = r.f64();
+    let counter = SumState { sigma: r.f64(), omega: r.f64() };
     let correction = match r.u8() {
         0 => None,
         _ => {
@@ -297,7 +286,7 @@ pub(crate) fn decode_readout<B: CipherBackend>(
                 .expect("a readout's unit vector must deserialize under the run's backend"),
         ),
     };
-    Readout { weight, sigma, omega, correction, units }
+    Readout { weight, counter, correction, units }
 }
 
 // --- the actor ---
@@ -305,12 +294,9 @@ pub(crate) fn decode_readout<B: CipherBackend>(
 /// Provisioned per-node material, installed by [`NodeEvent::Hello`].
 #[derive(Debug)]
 struct Provision<B: CipherBackend> {
-    backend: Arc<B>,
-    encoder: FixedPointEncoder,
-    packer: Option<PackedEncoder>,
+    device: Device<B>,
     k: usize,
     series_length: usize,
-    num_noise_shares: usize,
     series: TimeSeries,
 }
 
@@ -342,77 +328,34 @@ impl<B: CipherBackend> ChiaroscuroNodeActor<B> {
                 .expect("the provisioned public cipher material must be well-formed"),
         );
         let encoder = FixedPointEncoder::new(spec.encoding_digits);
-        let packer = spec.packing.as_ref().map(|p| {
-            let budget = LaneBudget {
-                contributors: p.contributors as usize,
-                doubling_budget: p.doubling_budget,
-                max_abs_value: p.max_abs_value,
-                biased_vectors: p.biased_vectors,
-            };
-            PackedEncoder::plan(p.capacity_bits, &encoder, &budget)
+        let packer = spec.packing.map(|(capacity_bits, budget)| {
+            PackedEncoder::plan(capacity_bits, &encoder, &budget)
                 .expect("the coordinator validated this lane layout before provisioning")
         });
         assert_eq!(spec.series.len(), spec.series_length as usize, "series length mismatch");
         self.provision = Some(Provision {
-            backend,
-            encoder,
-            packer,
+            device: Device { backend, encoder, packer, num_noise_shares: spec.num_noise_shares as usize },
             k: spec.k as usize,
             series_length: spec.series_length as usize,
-            num_noise_shares: spec.num_noise_shares as usize,
             series: TimeSeries::new(spec.series),
         });
     }
 
-    /// The monolithic runner's device closure, verbatim: derive the noise
-    /// and encryption sub-streams from the participant seed, draw the noise
-    /// shares, then encrypt the Diptych plus the noise vector (packed or
-    /// legacy) under the encryption stream.
+    /// Computes this node's contribution with the shared device function
+    /// and installs it as the seed state of all three phases.
     fn start_iteration(&mut self, inputs: &IterationInputs) {
         let p = self.provision.as_ref().expect("IterationStart before Hello");
-        let (k, n) = (p.k, p.series_length);
         let centroids: Vec<TimeSeries> =
-            inputs.centroids_flat.chunks_exact(n).map(|c| TimeSeries::new(c.to_vec())).collect();
-        assert_eq!(centroids.len(), k, "IterationStart must carry k centroids");
-
-        let mut streams = crate::seedmix::device_streams(inputs.participant_seed);
-        let noise = NoiseShareVector::generate(
-            k,
-            n,
+            inputs.centroids_flat.chunks_exact(p.series_length).map(|c| TimeSeries::new(c.to_vec())).collect();
+        assert_eq!(centroids.len(), p.k, "IterationStart must carry k centroids");
+        let (_assigned, flat) = p.device.contribute(
+            &centroids,
+            &p.series,
+            inputs.participant_seed,
             inputs.sum_scale,
             inputs.count_scale,
-            p.num_noise_shares,
-            &mut streams.noise,
         );
-        let mut device_rng = streams.encryption;
-        let backend: &B = &p.backend;
-        let flat: Vec<B::Unit> = if let Some(packer) = &p.packer {
-            let (means, _assigned) =
-                PackedMeans::initialise(&centroids, &p.series, backend, packer, &mut device_rng);
-            let mut flat = means.units;
-            flat.reserve(flat.len() + 1);
-            for m in packer.pack(&noise.flatten()) {
-                flat.push(backend.encrypt(&m, &mut device_rng));
-            }
-            flat.push(backend.encrypt(&packer.counter_plaintext(), &mut device_rng));
-            flat
-        } else {
-            let entries = k * (n + 1);
-            let (diptych, _assigned) =
-                Diptych::initialise(&centroids, &p.series, backend, &p.encoder, &mut device_rng);
-            let mut flat: Vec<B::Unit> = Vec::with_capacity(2 * entries);
-            for mean in &diptych.means {
-                flat.extend(mean.sums.iter().cloned());
-            }
-            for mean in &diptych.means {
-                flat.push(mean.count.clone());
-            }
-            for share in noise.flatten() {
-                flat.push(backend.encrypt(&backend.encode(&p.encoder, share), &mut device_rng));
-            }
-            flat
-        };
-        let value = BackendVector::new(p.backend.clone(), flat);
+        let value = BackendVector::new(p.device.backend.clone(), flat);
         // Node 0 seeds both epidemic weights, as in the monolithic phases.
         self.ees = Some(if self.id == 0 { EesState::new_seed(value) } else { EesState::new(value) });
         self.counter =
@@ -428,7 +371,7 @@ impl<B: CipherBackend> ChiaroscuroNodeActor<B> {
                 put_f64(&mut buf, ees.weight);
                 put_u32(&mut buf, ees.exchanges);
                 buf.extend_from_slice(&serialize_units::<B>(
-                    self.provision().backend.as_ref(),
+                    self.provision().device.backend.as_ref(),
                     ees.value.units(),
                 ));
                 buf
@@ -454,10 +397,10 @@ impl<B: CipherBackend> ChiaroscuroNodeActor<B> {
                 let mut r = Reader::new(bytes);
                 let weight = r.f64();
                 let exchanges = r.u32();
-                let units = deserialize_units::<B>(p.backend.as_ref(), r.rest())
+                let units = deserialize_units::<B>(p.device.backend.as_ref(), r.rest())
                     .expect("a means exchange payload must deserialize under the run's backend");
                 PhaseState::Means(EesState {
-                    value: BackendVector::new(p.backend.clone(), units),
+                    value: BackendVector::new(p.device.backend.clone(), units),
                     weight,
                     exchanges,
                 })
@@ -532,7 +475,7 @@ impl<B: CipherBackend> ChiaroscuroNodeActor<B> {
         if include_units {
             buf.push(1);
             buf.extend_from_slice(&serialize_units::<B>(
-                self.provision().backend.as_ref(),
+                self.provision().device.backend.as_ref(),
                 ees.value.units(),
             ));
         } else {
@@ -600,13 +543,10 @@ mod tests {
             series_length: 4,
             encoding_digits: 3,
             num_noise_shares: 12,
-            packing: Some(PackingSpec {
-                capacity_bits: 254,
-                contributors: 16,
-                doubling_budget: 96,
-                max_abs_value: 80.0,
-                biased_vectors: 2,
-            }),
+            packing: Some((
+                254,
+                LaneBudget { contributors: 16, doubling_budget: 96, max_abs_value: 80.0, biased_vectors: 2 },
+            )),
             public: vec![1, 2, 3, 4, 5],
             series: vec![1.5, -2.25, 0.0, 7.0],
         };

@@ -26,44 +26,38 @@
 //! A pinned scenario driven through `via_actors` reproduces the monolithic
 //! `execute` **bit for bit** from the same seed — identical centroids,
 //! identical per-iteration network statistics, identical audit log — under
-//! both the in-memory and the socket transports.  The contract holds
-//! because the coordinator consumes master-RNG draws in exactly the
-//! monolith's order (backend setup, initial centroids, participant seeds,
-//! gossip schedules, correction proposals) while each actor derives its
-//! contribution from its delivered participant seed exactly as the
-//! monolithic device closure does; no RNG lives on a thread boundary.
+//! both the in-memory and the socket transports.  The contract holds by
+//! construction: this module is only the *links driver* of the shared
+//! execution sequence in [`crate::runner`], which makes every master-RNG
+//! draw outside the gossip schedules for both drivers; the schedules here
+//! draw exactly as the round engine does; and each actor derives its
+//! contribution from its delivered participant seed through the same
+//! device function the simulated driver calls.  No RNG lives on a thread
+//! boundary.
 //!
 //! Only the coordinator ever threshold-decrypts: nodes are provisioned with
 //! exported *public* material, so the key shares never cross a link.
 
-use std::sync::Arc;
-
 use rand::Rng;
 
-use chiaroscuro_crypto::backend::{BackendSetup, CipherBackend};
-use chiaroscuro_crypto::encoding::FixedPointEncoder;
+use chiaroscuro_crypto::backend::CipherBackend;
 use chiaroscuro_gossip::churn::ChurnModel;
 use chiaroscuro_gossip::engine::plan_round_with_mask;
 use chiaroscuro_gossip::metrics::ExchangeMetrics;
-use chiaroscuro_gossip::sim::NetworkModel;
-use chiaroscuro_kmeans::report::{IterationReport, RunReport};
+use chiaroscuro_gossip::sim::{FaultStats, NetworkModel};
 use chiaroscuro_node::{
     FramedSocketTransport, LocalBus, NodeEvent, NodeId, Phase, Transport, COORDINATOR,
 };
-use chiaroscuro_timeseries::inertia::dataset_inertia;
-use chiaroscuro_timeseries::inertia::intra_inertia;
-use chiaroscuro_timeseries::TimeSeries;
 
 use crate::actor::{
-    decode_readout, encode_correction, ChiaroscuroNodeActor, IterationInputs, NodeSpec,
-    PackingSpec, Readout, MEANS_FRAME_OVERHEAD_BYTES,
+    decode_readout, encode_correction, ChiaroscuroNodeActor, IterationInputs, NodeSpec, Readout,
+    MEANS_FRAME_OVERHEAD_BYTES,
 };
-use crate::audit::{DataClass, SecurityAudit};
 use crate::config::TransportKind;
 use crate::diptych::closest_centroid;
 use crate::noise::NoiseCorrection;
 use crate::runner::{
-    aberrant_centroid, assignment_from_labels, DistributedRun, IterationNetworkStats, RunOutcome,
+    DistributedRun, GossipDriver, PhaseCost, ReferenceSums, Round, RunOutcome, Session,
 };
 
 impl<'a, B: CipherBackend> DistributedRun<'a, B> {
@@ -142,8 +136,8 @@ impl<'a, B: CipherBackend> DistributedRun<'a, B> {
     /// method plus link setup; the multi-process example calls it directly
     /// over sockets whose serve loops live in child processes.
     ///
-    /// Consumes master-RNG draws in exactly the monolithic order, so the
-    /// outcome is bit-identical to [`Self::execute`] from the same seed.
+    /// Runs the same execution sequence as [`Self::execute_with_rng`], so
+    /// the outcome is bit-identical to [`Self::execute`] from the same seed.
     /// `frame_overhead` is added to each reported gossip payload size
     /// (socket deployments transmit a frame header per protocol message —
     /// pass [`MEANS_FRAME_OVERHEAD_BYTES`]; pass 0 for in-memory links to
@@ -158,359 +152,195 @@ impl<'a, B: CipherBackend> DistributedRun<'a, B> {
         frame_overhead: usize,
         rng: &mut R,
     ) -> RunOutcome {
-        let params = &self.params;
-        let data = self.data;
-        let population = data.len();
-        assert_eq!(links.len(), population, "one transport link per participant");
+        assert_eq!(links.len(), self.data.len(), "one transport link per participant");
         assert!(
-            matches!(params.network, NetworkModel::Rounds),
+            matches!(self.params.network, NetworkModel::Rounds),
             "via_actors drives the round-based schedule; the event-driven simulator models \
              the network itself and has no per-exchange message flow to relay"
         );
         assert!(
-            !params.adversary.is_active(),
+            !self.params.adversary.is_active(),
             "via_actors has no fault-injection hooks; run adversarial scenarios through \
              DistributedRun's simulated engines instead"
         );
-        let n = data.series_length();
-        let k = params.k;
-        let entries = k * (n + 1);
-        let packing = self.plan_packing();
+        let driver =
+            LinksDriver { links, frame_overhead, sum_readouts: Vec::new(), reference_units: Vec::new() };
+        self.run_sequence(driver, rng)
+    }
+}
 
-        // --- Bootstrap: identical master-RNG draws to the monolith. ---
-        let setup = BackendSetup {
-            key_bits: params.key_bits,
-            damgard_jurik_s: params.damgard_jurik_s,
-            population,
-            key_share_threshold: params.key_share_threshold,
-            packed_layout: packing.as_ref().map(|p| p.layout()),
-        };
-        let backend = Arc::new(B::setup(&setup, rng));
-        backend.precompute();
-        if let (Some(packer), Some(capacity)) = (&packing, backend.plaintext_capacity_bits()) {
-            let layout = packer.layout();
-            assert!(
-                layout.lanes as u64 * layout.lane_bits <= capacity,
-                "planned lane layout exceeds the generated key's plaintext capacity"
-            );
-        }
-        let encoder = FixedPointEncoder::new(params.encoding_digits);
-        let mut centroids = match &self.initial_centroids {
-            Some(c) => c.clone(),
-            None => {
-                use rand::seq::SliceRandom;
-                data.series().choose_multiple(rng, k).cloned().collect()
-            }
-        };
-        assert_eq!(centroids.len(), k, "k must not exceed the population when sampling initial centroids");
+/// The links driver: every device is a node actor behind one transport
+/// link, and the coordinator relays each planned exchange through the star.
+struct LinksDriver<'l, T: Transport, B: CipherBackend> {
+    links: &'l mut [T],
+    frame_overhead: usize,
+    /// Each node's readout after the counter phase; EESum weights and
+    /// counters are frozen from then on (dissemination never touches them).
+    sum_readouts: Vec<Readout<B>>,
+    /// The reference node's accumulated units, read out after dissemination.
+    reference_units: Vec<B::Unit>,
+}
 
-        let schedule = params.budget_schedule();
-        let sensitivity = chiaroscuro_dp::laplace::Sensitivity::from_range(
-            n,
-            data.range().min,
-            data.range().max,
-        );
-        let churn = ChurnModel::new(params.churn);
-        let exchanges = params.effective_exchanges(population, n);
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(params.pool_threads)
-            .build()
-            .expect("the offline pool cannot fail to build");
+impl<T: Transport, B: CipherBackend> GossipDriver<B> for LinksDriver<'_, T, B> {
+    fn frame_overhead(&self) -> usize {
+        self.frame_overhead
+    }
 
-        // --- Provisioning: public material only; key shares stay here. ---
-        let packing_spec = self.packing_budget().map(|budget| PackingSpec {
-            capacity_bits: params.packing_capacity_bits(),
-            contributors: budget.contributors as u64,
-            doubling_budget: budget.doubling_budget,
-            max_abs_value: budget.max_abs_value,
-            biased_vectors: budget.biased_vectors,
-        });
-        let public = backend.export_public();
-        for (node, link) in links.iter_mut().enumerate() {
+    /// Provisioning: public material only; key shares stay here.
+    fn start<R: Rng + ?Sized>(&mut self, session: &Session<'_, '_, B>, _rng: &mut R) {
+        let run = session.run;
+        let packing = run.packing_budget().map(|budget| (run.params.packing_capacity_bits(), budget));
+        let public = session.device.backend.export_public();
+        for (node, link) in self.links.iter_mut().enumerate() {
             let spec = NodeSpec {
-                k: k as u32,
-                series_length: n as u32,
-                encoding_digits: params.encoding_digits,
-                num_noise_shares: params.num_noise_shares as u32,
-                packing: packing_spec.clone(),
+                k: run.params.k as u32,
+                series_length: run.data.series_length() as u32,
+                encoding_digits: run.params.encoding_digits,
+                num_noise_shares: run.params.num_noise_shares as u32,
+                packing,
                 public: public.clone(),
-                series: data.series()[node].values().to_vec(),
+                series: run.data.series()[node].values().to_vec(),
             };
             send(link, node, NodeEvent::Hello { config: spec.encode() });
         }
+    }
 
-        let mut audit = SecurityAudit::new();
-        let mut iterations = Vec::new();
-        let mut network = Vec::new();
-        let mut run_converged = false;
+    /// Each actor derives its whole contribution on its own side of the
+    /// link from its delivered seed; the label it assigned itself is a pure
+    /// function of the centroids and its series, so the coordinator
+    /// recomputes it for the reporting-only PRE metrics instead of asking.
+    fn sum_means<R: Rng + ?Sized>(
+        &mut self,
+        session: &Session<'_, '_, B>,
+        round: &Round<'_>,
+        rng: &mut R,
+    ) -> (Vec<usize>, PhaseCost) {
+        let centroids_flat: Vec<f64> =
+            round.centroids.iter().flat_map(|c| c.values().iter().copied()).collect();
+        for (node, link) in self.links.iter_mut().enumerate() {
+            let inputs = IterationInputs {
+                participant_seed: round.participant_seeds[node],
+                sum_scale: round.sum_scale,
+                count_scale: round.count_scale,
+                centroids_flat: centroids_flat.clone(),
+            };
+            send(link, node, NodeEvent::IterationStart { payload: inputs.encode() });
+        }
+        let labels = session.run.data.series().iter().map(|s| closest_centroid(round.centroids, s)).collect();
+        (labels, run_gossip_rounds(self.links, Phase::Means, session.exchanges, &session.churn, rng))
+    }
 
-        for iteration in 0..params.max_iterations {
-            let epsilon_i = schedule.epsilon_for_iteration(iteration);
-            if epsilon_i <= 0.0 {
+    fn sum_counter<R: Rng + ?Sized>(&mut self, session: &Session<'_, '_, B>, rng: &mut R) -> PhaseCost {
+        let cost = run_gossip_rounds(self.links, Phase::Counter, session.exchanges, &session.churn, rng);
+        self.sum_readouts = (0..self.links.len()).map(|node| self.readout(session, node, false)).collect();
+        cost
+    }
+
+    fn weight(&self, node: usize) -> f64 {
+        self.sum_readouts[node].weight
+    }
+
+    fn counter_estimate(&self, node: usize) -> Option<f64> {
+        self.sum_readouts[node].counter.estimate()
+    }
+
+    /// Relays the min-id dissemination, then reads every node out: the
+    /// coordinator shadows only the identifiers (the min-id update rule is
+    /// trivially mirrored per exchange) to evaluate the convergence
+    /// predicate, and cross-checks them and the winning payloads against
+    /// the nodes' own states.
+    fn disseminate<R: Rng + ?Sized>(
+        &mut self,
+        session: &Session<'_, '_, B>,
+        corrections: &[NoiseCorrection],
+        reference: usize,
+        rng: &mut R,
+    ) -> (NoiseCorrection, PhaseCost) {
+        let population = self.links.len();
+        for (node, link) in self.links.iter_mut().enumerate() {
+            let c = &corrections[node];
+            let payload = encode_correction(c.id, &c.sum_correction, &c.count_correction);
+            send(link, node, NodeEvent::CorrectionProposal { payload });
+        }
+        let mut ids: Vec<u64> = corrections.iter().map(|c| c.id).collect();
+        let mut metrics = ExchangeMetrics::default();
+        // `run_until` semantics: predicate before each round, then one
+        // final evaluation when the budget is exhausted.
+        let mut satisfied = false;
+        for _ in 0..session.exchanges {
+            if ids.iter().all(|&id| id == ids[0]) {
+                satisfied = true;
                 break;
             }
-            let mechanism = chiaroscuro_dp::laplace::LaplaceMechanism::new(sensitivity, epsilon_i)
-                .with_gossip_error_bound(params.gossip_error_bound);
-            let sum_scale = mechanism.sum_scale();
-            let count_scale = mechanism.count_scale();
-
-            // --- Assignment step, distributed: one seed per device off the
-            // master RNG (the monolith's draw), then each actor derives its
-            // whole contribution on its own side of the link. ---
-            let participant_seeds: Vec<u64> = (0..population).map(|_| rng.gen()).collect();
-            let centroids_flat: Vec<f64> =
-                centroids.iter().flat_map(|c| c.values().iter().copied()).collect();
-            for (node, link) in links.iter_mut().enumerate() {
-                let inputs = IterationInputs {
-                    participant_seed: participant_seeds[node],
-                    sum_scale,
-                    count_scale,
-                    centroids_flat: centroids_flat.clone(),
-                };
-                send(link, node, NodeEvent::IterationStart { payload: inputs.encode() });
+            let online = session.churn.sample_mask(population, rng);
+            for (initiator, contact) in plan_round_with_mask(population, &online, rng) {
+                relay_exchange(self.links, Phase::Correction, initiator, contact);
+                let merged = ids[initiator].min(ids[contact]);
+                ids[initiator] = merged;
+                ids[contact] = merged;
+                metrics.record_exchange();
             }
-            // The label each actor assigned itself is a pure function of
-            // the centroids and its series; the coordinator recomputes it
-            // for the reporting-only PRE metrics instead of asking.
-            let labels: Vec<usize> =
-                data.series().iter().map(|s| closest_centroid(&centroids, s)).collect();
+            metrics.record_round();
+        }
+        let converged = satisfied || ids.iter().all(|&id| id == ids[0]);
 
-            let sum_payload_ciphertexts = match &packing {
-                Some(packer) => 2 * packer.ciphertexts_for(entries) + 1,
-                None => 2 * entries,
-            };
-            let sum_payload_bytes =
-                sum_payload_ciphertexts * backend.unit_bytes() + frame_overhead;
-
-            // --- Computation step (a): epidemic sums, one relayed
-            // request/reply per planned exchange. ---
-            let sum_metrics = run_gossip_rounds(links, Phase::Means, population, exchanges, &churn, rng);
-            audit.record_n(iteration, "encrypted means contribution", DataClass::Encrypted, population);
-            audit.record_n(iteration, "encrypted noise shares", DataClass::Encrypted, population);
-            audit.record_n(
-                iteration,
-                "epidemic weight and exchange counter",
-                DataClass::DataIndependent,
-                population,
-            );
-            let counter_metrics =
-                run_gossip_rounds(links, Phase::Counter, population, exchanges, &churn, rng);
-            audit.record(iteration, "cleartext contributor counter", DataClass::DataIndependent);
-
-            // Epidemic weights and counters are frozen now (dissemination
-            // never touches them), so this readout is the final view.
-            let first_readouts: Vec<Readout<B>> = (0..population)
-                .map(|node| {
-                    request_readout::<T, B>(backend.as_ref(), &mut links[node], node, false, k, n)
-                })
-                .collect();
-
-            // Reporting-only PRE metrics (never exchanged between devices).
-            let assignment = assignment_from_labels(&labels, k);
-            let (exact_sums, exact_counts) = assignment.cluster_sums(data, k);
-            let exact_means: Vec<TimeSeries> = exact_sums
-                .iter()
-                .zip(exact_counts.iter())
-                .enumerate()
-                .map(|(i, (sum, &count))| if count > 0.0 { sum.scaled(1.0 / count) } else { centroids[i].clone() })
-                .collect();
-            let pre_inertia = intra_inertia(data, &exact_means, &assignment);
-
-            // Reference participant: same selection rule as the monolith
-            // (weight and counter estimate from the same device).
-            let reference = (0..population)
-                .position(|i| first_readouts[i].weight > 0.0 && first_readouts[i].omega > 0.0)
-                .expect("after the epidemic sums at least one node holds both weights");
-            let counter_estimate = first_readouts[reference].sigma / first_readouts[reference].omega;
-
-            // --- Computation step (b): noise surplus correction. ---
-            let contributors = (counter_estimate.round() as i64).min(population as i64);
-            let expected_shares = params.num_noise_shares as i64;
-            let surplus = (contributors - expected_shares).max(0) as usize;
-            let noise_share_deficit = (expected_shares - contributors).max(0) as usize;
-            let corrections: Vec<NoiseCorrection> = (0..population)
-                .map(|_| {
-                    NoiseCorrection::generate(
-                        surplus,
-                        k,
-                        n,
-                        sum_scale,
-                        count_scale,
-                        params.num_noise_shares,
-                        rng,
-                    )
-                })
-                .collect();
-            for (node, link) in links.iter_mut().enumerate() {
-                let c = &corrections[node];
-                let payload = encode_correction(c.id, &c.sum_correction, &c.count_correction);
-                send(link, node, NodeEvent::CorrectionProposal { payload });
-            }
-            // The coordinator shadows only the identifiers (the min-id
-            // update rule is trivially mirrored per exchange) to evaluate
-            // the convergence predicate without readouts; payloads stay on
-            // the nodes and are cross-checked below.
-            let mut ids: Vec<u64> = corrections.iter().map(|c| c.id).collect();
-            let mut dissemination_metrics = ExchangeMetrics::default();
-            // `run_until` semantics: predicate before each round, then one
-            // final evaluation when the budget is exhausted.
-            let mut satisfied = false;
-            for _ in 0..exchanges {
-                if ids.iter().all(|&id| id == ids[0]) {
-                    satisfied = true;
-                    break;
+        let mut readouts: Vec<Readout<B>> =
+            (0..population).map(|node| self.readout(session, node, node == reference)).collect();
+        let winner_id = *ids.iter().min().expect("non-empty population");
+        let mut winning_payload: Option<&[f64]> = None;
+        for (node, readout) in readouts.iter().enumerate() {
+            let (id, payload) = readout.correction.as_ref().expect("every node holds a correction state");
+            assert_eq!(*id, ids[node], "the coordinator's shadow ids must match the nodes'");
+            if *id == winner_id {
+                match winning_payload {
+                    None => winning_payload = Some(payload),
+                    Some(expected) => assert_eq!(
+                        &payload[..],
+                        expected,
+                        "every node holding the winning identifier must carry the same payload"
+                    ),
                 }
-                let online = churn.sample_mask(population, rng);
-                for (initiator, contact) in plan_round_with_mask(population, &online, rng) {
-                    relay_exchange(links, Phase::Correction, initiator, contact);
-                    let merged = ids[initiator].min(ids[contact]);
-                    ids[initiator] = merged;
-                    ids[contact] = merged;
-                    dissemination_metrics.record_exchange();
-                }
-                dissemination_metrics.record_round();
-            }
-            let dissemination_converged = satisfied || ids.iter().all(|&id| id == ids[0]);
-            audit.record_n(iteration, "noise correction proposal", DataClass::DataIndependent, population);
-
-            // --- Computation step (c): readout, perturbation, decryption. ---
-            let final_readouts: Vec<Readout<B>> = (0..population)
-                .map(|node| {
-                    request_readout::<T, B>(
-                        backend.as_ref(),
-                        &mut links[node],
-                        node,
-                        node == reference,
-                        k,
-                        n,
-                    )
-                })
-                .collect();
-            let winner_id = *ids.iter().min().expect("non-empty population");
-            let mut winning_payload: Option<&[f64]> = None;
-            for (node, readout) in final_readouts.iter().enumerate() {
-                let (id, payload) =
-                    readout.correction.as_ref().expect("every node holds a correction state");
-                assert_eq!(*id, ids[node], "the coordinator's shadow ids must match the nodes'");
-                if *id == winner_id {
-                    match winning_payload {
-                        None => winning_payload = Some(payload),
-                        Some(expected) => assert_eq!(
-                            &payload[..],
-                            expected,
-                            "every node holding the winning identifier must carry the same payload"
-                        ),
-                    }
-                }
-            }
-            let winning_row = winning_payload.expect("the winning identifier is held somewhere");
-            let winning_correction = NoiseCorrection {
-                id: winner_id,
-                sum_correction: winning_row[..k * n].to_vec(),
-                count_correction: winning_row[k * n..].to_vec(),
-            };
-
-            let weight = first_readouts[reference].weight;
-            let cts = final_readouts[reference]
-                .units
-                .as_ref()
-                .expect("the reference node reports its accumulated units");
-            let decrypted: Vec<f64> = match &packing {
-                Some(packer) => {
-                    let blocks = packer.ciphertexts_for(entries);
-                    let plaintexts: Vec<num_bigint::BigUint> = pool.map_range(blocks + 1, |i| {
-                        if i < blocks {
-                            backend.threshold_decrypt(&backend.add(&cts[i], &cts[blocks + i]))
-                        } else {
-                            backend.threshold_decrypt(&cts[2 * blocks])
-                        }
-                    });
-                    let counter = &plaintexts[blocks];
-                    packer
-                        .unpack(&plaintexts[..blocks], entries, counter, 2)
-                        .iter()
-                        .map(|v| v / weight)
-                        .collect()
-                }
-                None => pool.map_range(entries, |i| {
-                    let perturbed = backend.add(&cts[i], &cts[entries + i]);
-                    backend.decode(&encoder, &backend.threshold_decrypt(&perturbed)) / weight
-                }),
-            };
-            audit.record(iteration, "partial decryptions of perturbed means", DataClass::DifferentiallyPrivate);
-
-            // Rebuild the perturbed means, apply the correction and smoothing.
-            let mut new_centroids = Vec::with_capacity(k);
-            let mut aberrant = vec![false; k];
-            for cluster in 0..k {
-                let mut sum_values: Vec<f64> = decrypted[cluster * n..(cluster + 1) * n].to_vec();
-                let mut count_value = decrypted[k * n + cluster];
-                if surplus > 0 {
-                    for (j, value) in sum_values.iter_mut().enumerate() {
-                        *value -= winning_correction.sum_correction[cluster * n + j];
-                    }
-                    count_value -= winning_correction.count_correction[cluster];
-                }
-                let mean = if count_value.abs() < 0.5 {
-                    aberrant[cluster] = true;
-                    aberrant_centroid(n, data.range().max, cluster)
-                } else {
-                    let mut mean = TimeSeries::new(sum_values.iter().map(|v| v / count_value).collect());
-                    mean = params.smoothing.apply(&mean);
-                    mean
-                };
-                new_centroids.push(mean);
-            }
-            audit.record(iteration, "perturbed cleartext centroids", DataClass::DifferentiallyPrivate);
-
-            let post_inertia = chiaroscuro_kmeans::perturbed::post_perturbation_inertia(
-                data,
-                &new_centroids,
-                &assignment,
-                &aberrant,
-            );
-            iterations.push(IterationReport {
-                iteration,
-                epsilon: epsilon_i,
-                pre_inertia,
-                post_inertia,
-                surviving_centroids: assignment.non_empty_clusters(),
-                participating_series: population,
-            });
-            network.push(IterationNetworkStats {
-                iteration,
-                sum_messages_per_node: sum_metrics.messages_per_node(population)
-                    + counter_metrics.messages_per_node(population),
-                dissemination_messages_per_node: dissemination_metrics.messages_per_node(population),
-                sum_rounds: sum_metrics.rounds(),
-                dissemination_converged,
-                noise_share_deficit,
-                sum_payload_ciphertexts,
-                sum_payload_bytes,
-                gossip_sim_time: 0.0,
-                peak_messages_in_flight: 0,
-                faults: chiaroscuro_gossip::sim::FaultStats::ZERO,
-            });
-
-            // --- Convergence step. ---
-            let displacement: f64 =
-                centroids.iter().zip(new_centroids.iter()).map(|(c, m)| c.distance(m)).sum();
-            centroids = new_centroids;
-            if displacement <= params.convergence_threshold {
-                run_converged = true;
-                break;
             }
         }
+        let winning_row = winning_payload.expect("the winning identifier is held somewhere");
+        let kn = session.run.params.k * session.run.data.series_length();
+        let winner = NoiseCorrection {
+            id: winner_id,
+            sum_correction: winning_row[..kn].to_vec(),
+            count_correction: winning_row[kn..].to_vec(),
+        };
+        self.reference_units = readouts
+            .swap_remove(reference)
+            .units
+            .expect("the reference node reports its accumulated units");
+        (winner, PhaseCost { metrics, converged, sim_time: 0.0, peak_in_flight: 0 })
+    }
 
-        RunOutcome {
-            report: RunReport {
-                iterations,
-                final_centroids: centroids,
-                converged: run_converged,
-                dataset_inertia: dataset_inertia(data),
-            },
-            audit,
-            network,
+    fn reference_sums(&self, _reference: usize) -> ReferenceSums<'_, B> {
+        ReferenceSums::Units(&self.reference_units)
+    }
+
+    fn take_faults(&mut self) -> Option<FaultStats> {
+        None
+    }
+}
+
+impl<T: Transport, B: CipherBackend> LinksDriver<'_, T, B> {
+    /// Requests and decodes one node's end-of-phase readout.
+    fn readout(&mut self, session: &Session<'_, '_, B>, node: usize, include_units: bool) -> Readout<B> {
+        let link = &mut self.links[node];
+        send(link, node, NodeEvent::ReadoutRequest { include_units });
+        let frame = link
+            .recv()
+            .unwrap_or_else(|e| panic!("receiving node {node}'s readout failed: {e}"));
+        match NodeEvent::from_frame(&frame).expect("a readout reply decodes") {
+            NodeEvent::ReadoutReply { payload } => decode_readout::<B>(
+                &session.device.backend,
+                &payload,
+                session.run.params.k,
+                session.run.data.series_length(),
+            ),
+            other => panic!("expected a readout reply from node {node}, got {other:?}"),
         }
     }
 }
@@ -526,11 +356,11 @@ fn send<T: Transport>(link: &mut T, node: usize, event: NodeEvent) {
 fn run_gossip_rounds<T: Transport, R: Rng + ?Sized>(
     links: &mut [T],
     phase: Phase,
-    population: usize,
     rounds: u32,
     churn: &ChurnModel,
     rng: &mut R,
-) -> ExchangeMetrics {
+) -> PhaseCost {
+    let population = links.len();
     let mut metrics = ExchangeMetrics::default();
     for _ in 0..rounds {
         let online = churn.sample_mask(population, rng);
@@ -540,7 +370,7 @@ fn run_gossip_rounds<T: Transport, R: Rng + ?Sized>(
         }
         metrics.record_round();
     }
-    metrics
+    PhaseCost { metrics, converged: true, sim_time: 0.0, peak_in_flight: 0 }
 }
 
 /// Delivers one planned exchange: tell the initiator to start, route its
@@ -569,33 +399,14 @@ fn relay_exchange<T: Transport>(links: &mut [T], phase: Phase, initiator: usize,
         .unwrap_or_else(|e| panic!("routing to node {initiator} failed: {e}"));
 }
 
-/// Requests and decodes one node's end-of-phase readout.
-fn request_readout<T: Transport, B: CipherBackend>(
-    backend: &B,
-    link: &mut T,
-    node: usize,
-    include_units: bool,
-    k: usize,
-    n: usize,
-) -> Readout<B> {
-    send(link, node, NodeEvent::ReadoutRequest { include_units });
-    let frame = link
-        .recv()
-        .unwrap_or_else(|e| panic!("receiving node {node}'s readout failed: {e}"));
-    match NodeEvent::from_frame(&frame).expect("a readout reply decodes") {
-        NodeEvent::ReadoutReply { payload } => decode_readout::<B>(backend, &payload, k, n),
-        other => panic!("expected a readout reply from node {node}, got {other:?}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use chiaroscuro_crypto::backend::DamgardJurik;
+    use chiaroscuro_crypto::backend::{BackendSetup, DamgardJurik};
     use chiaroscuro_node::Actor;
-    use chiaroscuro_timeseries::{TimeSeriesSet, ValueRange};
+    use chiaroscuro_timeseries::{TimeSeries, TimeSeriesSet, ValueRange};
     use crate::config::ChiaroscuroParams;
     use chiaroscuro_dp::budget::BudgetStrategy;
 
@@ -654,13 +465,7 @@ mod tests {
                 series_length: n as u32,
                 encoding_digits: params.encoding_digits,
                 num_noise_shares: params.num_noise_shares as u32,
-                packing: run.packing_budget().map(|b| PackingSpec {
-                    capacity_bits: params.packing_capacity_bits(),
-                    contributors: b.contributors as u64,
-                    doubling_budget: b.doubling_budget,
-                    max_abs_value: b.max_abs_value,
-                    biased_vectors: b.biased_vectors,
-                }),
+                packing: run.packing_budget().map(|b| (params.packing_capacity_bits(), b)),
                 public: backend.export_public(),
                 series: data.series()[0].values().to_vec(),
             };

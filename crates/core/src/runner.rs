@@ -1,7 +1,7 @@
 //! The end-to-end distributed execution sequence (Algorithms 1 and 3).
 //!
-//! [`DistributedRun`] simulates a population of personal devices, one per
-//! time-series, and executes the full Chiaroscuro iteration on top of the
+//! [`DistributedRun`] runs a population of personal devices, one per
+//! time-series, through the full Chiaroscuro iteration on top of the
 //! workspace substrates:
 //!
 //! 1. **Assignment step** — each participant assigns its series to the
@@ -27,6 +27,23 @@
 //! homomorphically before decryption.  The correction is data- and
 //! noise-independent cleartext, so the security argument (Lemma 3) is
 //! unchanged; only the ordering differs.
+//!
+//! # One sequence, two gossip drivers
+//!
+//! The sequence above is written once.  What differs between the paper's
+//! deployment shapes (§2.2) is only *where the gossip happens*, which a
+//! crate-private driver trait abstracts: where each device's contribution
+//! lives, how the means, counter and correction phases run, and what the
+//! reference node reports.  Two drivers implement it — the simulated one in
+//! this module ([`DistributedRun::execute_with_rng`]: the round or
+//! event-driven engines, the per-node or lane-arena stores, the fault
+//! injector) and the relayed-links one in [`crate::cluster`] (per-node
+//! actors behind transports).  Every master-RNG draw outside the gossip
+//! schedules — backend setup, initial centroids, participant seeds,
+//! correction proposals — happens in the shared sequence, so both shapes
+//! consume the master stream in one order by construction, and each
+//! device's contribution comes from the one `Device` function that the
+//! node actor calls too.
 //!
 //! # Cipher backends
 //!
@@ -63,13 +80,13 @@
 //!
 //! # Network models
 //!
-//! Every gossip phase (EESum means/noise sum, cleartext counter, correction
-//! dissemination) dispatches on [`ChiaroscuroParams::network`]: the
-//! round-based engine (the default — the dispatcher consumes exactly the
-//! RNG draws the engine would directly, so the knob never moves a
-//! round-based schedule) or the deterministic event-driven asynchronous simulator
-//! (`chiaroscuro_gossip::sim`) with per-edge latency, message loss and
-//! crash/rejoin schedules.  Asynchronous iterations additionally report
+//! Every simulated gossip phase (EESum means/noise sum, cleartext counter,
+//! correction dissemination) dispatches on [`ChiaroscuroParams::network`]:
+//! the round-based engine (the default — the dispatcher consumes exactly
+//! the RNG draws the engine would directly, so the knob never moves a
+//! round-based schedule) or the deterministic event-driven asynchronous
+//! simulator (`chiaroscuro_gossip::sim`) with per-edge latency, message loss
+//! and crash/rejoin schedules.  Asynchronous iterations additionally report
 //! wall-clock latency in [`IterationNetworkStats::gossip_sim_time`] and
 //! [`IterationNetworkStats::peak_messages_in_flight`]; either way the run
 //! stays a pure function of the seed.
@@ -110,7 +127,6 @@ use num_bigint::BigUint;
 
 use chiaroscuro_crypto::backend::{BackendSetup, CipherBackend, DamgardJurik};
 use chiaroscuro_crypto::encoding::FixedPointEncoder;
-use chiaroscuro_crypto::keys::PublicKey;
 use chiaroscuro_crypto::packing::{LaneBudget, PackedEncoder};
 use chiaroscuro_dp::laplace::{LaplaceMechanism, Sensitivity};
 use chiaroscuro_dp::noise_share::NoiseShareGenerator;
@@ -126,7 +142,7 @@ use chiaroscuro_gossip::sim::{
     run_phase_until_with_adversary, run_phase_with_adversary, AdversaryState, FaultStats,
     NetworkModel, PhaseOutcome,
 };
-use chiaroscuro_gossip::sum::{initial_states as sum_initial_states, PushPullSum};
+use chiaroscuro_gossip::sum::{initial_states as sum_initial_states, PushPullSum, SumState};
 use chiaroscuro_kmeans::report::{IterationReport, RunReport};
 use chiaroscuro_timeseries::inertia::{dataset_inertia, intra_inertia, Assignment};
 use chiaroscuro_timeseries::{TimeSeries, TimeSeriesSet};
@@ -308,10 +324,10 @@ impl<'a, B: CipherBackend> DistributedRun<'a, B> {
     }
 
     /// The lane budget [`Self::plan_packing`] plans with, or `None` when
-    /// lane packing is off.  Exposed crate-internally so the actor driver
-    /// can ship these five scalars in its provisioning event and have each
-    /// node re-derive the coordinator's exact layout (the plan is a pure
-    /// function of the budget and the encoder).
+    /// lane packing is off.  Exposed crate-internally so the links driver
+    /// can ship it in its provisioning event and have each node re-derive
+    /// the coordinator's exact layout (the plan is a pure function of the
+    /// budget and the encoder).
     pub(crate) fn packing_budget(&self) -> Option<LaneBudget> {
         if !self.params.lane_packing {
             return None;
@@ -363,8 +379,21 @@ impl<'a, B: CipherBackend> DistributedRun<'a, B> {
         self.execute_with_rng(&mut rng)
     }
 
-    /// Executes the run with the provided RNG.
+    /// Executes the run with the provided RNG, on the simulated gossip
+    /// engines.
     pub fn execute_with_rng<R: Rng + ?Sized>(&self, rng: &mut R) -> RunOutcome {
+        let driver =
+            SimulatedDriver { adversary: None, means: MeansStore::PerNode(Vec::new()), counter: Vec::new() };
+        self.run_sequence(driver, rng)
+    }
+
+    /// The execution sequence of Algorithms 1 and 3, with every gossip
+    /// phase delegated to `driver`.
+    pub(crate) fn run_sequence<D: GossipDriver<B>, R: Rng + ?Sized>(
+        &self,
+        mut driver: D,
+        rng: &mut R,
+    ) -> RunOutcome {
         let params = &self.params;
         let data = self.data;
         let population = data.len();
@@ -398,7 +427,6 @@ impl<'a, B: CipherBackend> DistributedRun<'a, B> {
                 "planned lane layout exceeds the generated key's plaintext capacity"
             );
         }
-        let encoder = FixedPointEncoder::new(params.encoding_digits);
         let mut centroids = match &self.initial_centroids {
             Some(c) => c.clone(),
             None => {
@@ -407,28 +435,27 @@ impl<'a, B: CipherBackend> DistributedRun<'a, B> {
             }
         };
         assert_eq!(centroids.len(), k, "k must not exceed the population when sampling initial centroids");
+        let session = Session {
+            run: self,
+            device: Device {
+                backend,
+                encoder: FixedPointEncoder::new(params.encoding_digits),
+                packer: packing,
+                num_noise_shares: params.num_noise_shares,
+            },
+            pool: rayon::ThreadPoolBuilder::new()
+                .num_threads(params.pool_threads)
+                .build()
+                .expect("the offline pool cannot fail to build"),
+            churn: ChurnModel::new(params.churn),
+            exchanges: params.effective_exchanges(population, n),
+        };
+        driver.start(&session, rng);
+        let Session { device, pool, .. } = &session;
+        let backend: &B = &device.backend;
 
         let schedule = params.budget_schedule();
         let sensitivity = Sensitivity::from_range(n, data.range().min, data.range().max);
-        let churn = ChurnModel::new(params.churn);
-        let exchanges = params.effective_exchanges(population, n);
-        // Byzantine adversary: the fault schedule runs on a dedicated
-        // seed-derived RNG sub-stream.  An inactive model draws NOTHING
-        // here and is never materialised, so honest runs stay bit-identical
-        // to every historical baseline seed.
-        let mut adversary_state =
-            params.adversary.is_active().then(|| AdversaryState::new(params.adversary, rng.gen()));
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(params.pool_threads)
-            .build()
-            .expect("the offline pool cannot fail to build");
-        // The struct-of-arrays EESum arena: plaintext lane integers under an
-        // event-driven network model, i.e. the configuration meant to scale
-        // to 100k–10M nodes.  Encrypted backends always use per-node states
-        // (their units are not plain integers); the round engine keeps the
-        // per-node layout too, whose footprint it tolerates.
-        let use_arena = !B::ENCRYPTED && params.network.is_async();
-
         let mut audit = SecurityAudit::new();
         let mut iterations = Vec::new();
         let mut network = Vec::new();
@@ -444,151 +471,30 @@ impl<'a, B: CipherBackend> DistributedRun<'a, B> {
             let sum_scale = mechanism.sum_scale();
             let count_scale = mechanism.count_scale();
 
-            // --- Assignment step: local, per participant (parallelised). ---
+            // --- Assignment step: local, per participant. ---
             // Each device draws from its own RNG stream whose seed comes off
             // the master RNG before dispatch, so ciphertext randomness is
-            // identical whatever the pool size.  The device stream is split
-            // further into a noise sub-stream and an encryption sub-stream:
-            // noise draws are then identical whichever encoding path runs
-            // (the packed path encrypts fewer ciphertexts, so interleaving
-            // noise with encryption would desynchronise the two pipelines
-            // and break their bit-equality).
-            let participant_seeds: Vec<u64> = (0..population).map(|_| rng.gen()).collect();
-            let centroids_view = &centroids;
-            let packing_view = &packing;
-            let backend_view: &B = &backend;
-            let device = |i: usize, series: &TimeSeries| -> (usize, Vec<B::Unit>) {
-                let mut streams = crate::seedmix::device_streams(participant_seeds[i]);
-                let noise = NoiseShareVector::generate(
-                    k,
-                    n,
-                    sum_scale,
-                    count_scale,
-                    params.num_noise_shares,
-                    &mut streams.noise,
-                );
-                let mut device_rng = streams.encryption;
-                if let Some(packer) = packing_view {
-                    // Lane-packed contribution: ⌈k·(n+1)/L⌉ means units, as
-                    // many noise-share units (same lane layout, so the
-                    // runner can add them pairwise before decryption), and
-                    // one shared counter unit for the accumulated bias.
-                    let (means, assigned) = PackedMeans::initialise(
-                        centroids_view,
-                        series,
-                        backend_view,
-                        packer,
-                        &mut device_rng,
-                    );
-                    let mut flat = means.units;
-                    flat.reserve(flat.len() + 1);
-                    for m in packer.pack(&noise.flatten()) {
-                        flat.push(backend_view.encrypt(&m, &mut device_rng));
-                    }
-                    flat.push(backend_view.encrypt(&packer.counter_plaintext(), &mut device_rng));
-                    (assigned, flat)
-                } else {
-                    let (diptych, assigned) = Diptych::initialise(
-                        centroids_view,
-                        series,
-                        backend_view,
-                        &encoder,
-                        &mut device_rng,
-                    );
-                    // Flatten: all sum units (cluster-major), then all counts,
-                    // then the participant's encrypted noise shares in the same layout.
-                    let mut flat: Vec<B::Unit> = Vec::with_capacity(2 * entries);
-                    for mean in &diptych.means {
-                        flat.extend(mean.sums.iter().cloned());
-                    }
-                    for mean in &diptych.means {
-                        flat.push(mean.count.clone());
-                    }
-                    for share in noise.flatten() {
-                        flat.push(
-                            backend_view.encrypt(&backend_view.encode(&encoder, share), &mut device_rng),
-                        );
-                    }
-                    (assigned, flat)
-                }
+            // identical whatever the pool size or wherever the device runs.
+            let round = Round {
+                centroids: &centroids,
+                participant_seeds: (0..population).map(|_| rng.gen()).collect(),
+                sum_scale,
+                count_scale,
             };
 
             // One gossip message carries one whole contribution vector; its
             // unit count is the per-message sum payload (reported in the
             // iteration stats, where lane packing's saving is visible), and
-            // the byte size follows the backend's honest unit size.
-            let sum_payload_ciphertexts = match &packing {
+            // the byte size follows the backend's honest unit size plus any
+            // frame the driver's transport wraps it in.
+            let sum_payload_ciphertexts = match &device.packer {
                 Some(packer) => 2 * packer.ciphertexts_for(entries) + 1,
                 None => 2 * entries,
             };
-            let sum_payload_bytes = sum_payload_ciphertexts * backend.unit_bytes();
+            let sum_payload_bytes = sum_payload_ciphertexts * backend.unit_bytes() + driver.frame_overhead();
 
             // --- Computation step (a): epidemic encrypted sums + counter. ---
-            // Both phases dispatch on `params.network`: the round engine
-            // (same RNG draws as driving it directly) or the event-driven
-            // asynchronous engine, whose wall-clock latency shows up in
-            // this iteration's stats.  The storage is per-node vectors, or
-            // the lane arena on the plaintext scale path — the event loop
-            // consumes identical draws either way.
-            let (labels, sum_phase) = if use_arena {
-                let packer = packing.as_ref().expect("plaintext backends require lane packing");
-                let blocks = packer.ciphertexts_for(entries);
-                let layout = packer.layout();
-                let value_bits = layout.lanes as u64 * layout.lane_bits;
-                let limbs_per_unit = value_bits.div_ceil(64) as usize + 1;
-                let mut labels = Vec::with_capacity(population);
-                let mut arena = EesUnitArena::new(population, 2 * blocks + 1, limbs_per_unit);
-                let series_all = data.series();
-                let mut start = 0usize;
-                while start < population {
-                    let end = (start + ARENA_FILL_CHUNK).min(population);
-                    let chunk: Vec<(usize, Vec<B::Unit>)> =
-                        pool.map(&series_all[start..end], |offset, series| device(start + offset, series));
-                    for (offset, (assigned, units)) in chunk.into_iter().enumerate() {
-                        labels.push(assigned);
-                        for (u, unit) in units.iter().enumerate() {
-                            arena.set_unit_from_digits(
-                                start + offset,
-                                u,
-                                backend.plaintext_of(unit).iter_u64_digits(),
-                            );
-                        }
-                    }
-                    start = end;
-                }
-                let NetworkModel::Async(config) = &params.network else {
-                    unreachable!("the arena path is only selected under the async model")
-                };
-                let (arena, metrics, sim_time, sim) = run_async_phase_with_adversary(
-                    config,
-                    arena,
-                    churn,
-                    &EesSumProtocol,
-                    exchanges,
-                    rng,
-                    adversary_state.as_mut(),
-                );
-                (labels, SumPhase::<B>::Arena { arena, metrics, sim_time, peak_in_flight: sim.peak_in_flight })
-            } else {
-                let contributions: Vec<(usize, Vec<B::Unit>)> =
-                    pool.map(data.series(), |i, series| device(i, series));
-                let mut labels = Vec::with_capacity(population);
-                let mut contribution_vectors = Vec::with_capacity(population);
-                for (assigned, units) in contributions {
-                    labels.push(assigned);
-                    contribution_vectors.push(BackendVector::new(backend.clone(), units));
-                }
-                let phase = run_phase_with_adversary(
-                    &params.network,
-                    eesum_initial_states(contribution_vectors),
-                    churn,
-                    &EesSumProtocol,
-                    exchanges,
-                    rng,
-                    adversary_state.as_mut(),
-                );
-                (labels, SumPhase::PerNode(phase))
-            };
+            let (labels, means_cost) = driver.sum_means(&session, &round, rng);
             audit.record_n(iteration, "encrypted means contribution", DataClass::Encrypted, population);
             audit.record_n(iteration, "encrypted noise shares", DataClass::Encrypted, population);
             audit.record_n(
@@ -597,17 +503,7 @@ impl<'a, B: CipherBackend> DistributedRun<'a, B> {
                 DataClass::DataIndependent,
                 population,
             );
-
-            let counter_values = vec![1.0; population];
-            let counter_phase = run_phase_with_adversary(
-                &params.network,
-                sum_initial_states(&counter_values),
-                churn,
-                &PushPullSum,
-                exchanges,
-                rng,
-                adversary_state.as_mut(),
-            );
+            let counter_cost = driver.sum_counter(&session, rng);
             audit.record(iteration, "cleartext contributor counter", DataClass::DataIndependent);
 
             // Reporting-only PRE metrics (never exchanged between devices).
@@ -632,12 +528,12 @@ impl<'a, B: CipherBackend> DistributedRun<'a, B> {
             let reference = (0..population)
                 .position(|i| {
                     !params.adversary.is_byzantine(i)
-                        && sum_phase.weight(i) > 0.0
-                        && counter_phase.nodes[i].estimate().is_some()
+                        && driver.weight(i) > 0.0
+                        && driver.counter_estimate(i).is_some()
                 })
                 .expect("after the epidemic sums at least one honest node holds both weights");
-            let counter_estimate = counter_phase.nodes[reference]
-                .estimate()
+            let counter_estimate = driver
+                .counter_estimate(reference)
                 .expect("reference node was selected for holding a counter estimate");
 
             // --- Computation step (b): noise surplus correction. ---
@@ -656,8 +552,8 @@ impl<'a, B: CipherBackend> DistributedRun<'a, B> {
             let surplus = (contributors - expected_shares).max(0) as usize;
             let noise_share_deficit = (expected_shares - contributors).max(0) as usize;
             // Proposals are always generated in node order from the run RNG,
-            // whatever storage the dissemination runs on, so the draw
-            // sequence (and hence the whole run) is storage-independent.
+            // whatever the driver or storage, so the draw sequence (and
+            // hence the whole run) is driver- and storage-independent.
             let corrections: Vec<NoiseCorrection> = (0..population)
                 .map(|_| {
                     NoiseCorrection::generate(
@@ -675,112 +571,46 @@ impl<'a, B: CipherBackend> DistributedRun<'a, B> {
             // smallest identifier — the value dissemination converges to —
             // not whatever node 0 happens to hold (under churn an
             // unconverged node 0 may still carry a losing proposal).
-            let (
-                winning_correction,
-                dissemination_metrics,
-                dissemination_converged,
-                dissemination_sim_time,
-                dissemination_peak_in_flight,
-            ) = match &params.network {
-                NetworkModel::Async(config) => {
-                    // Struct-of-arrays dissemination: the event-driven
-                    // engines drive a MinIdArena (one id lane plus flat
-                    // payload rows) instead of per-node boxed
-                    // NoiseCorrection clones.  The async schedule is
-                    // state-independent, so the result is bit-identical to
-                    // the boxed store from the same RNG.
-                    let payload_len = k * n + k;
-                    let arena = MinIdArena::build(population, payload_len, |node, row| {
-                        let c = &corrections[node];
-                        row[..k * n].copy_from_slice(&c.sum_correction);
-                        row[k * n..].copy_from_slice(&c.count_correction);
-                        c.id
-                    });
-                    let (arena, metrics, sim_time, sim, phase_converged) =
-                        run_async_phase_until_with_adversary(
-                            config,
-                            arena,
-                            churn,
-                            &DisseminationProtocol,
-                            exchanges,
-                            rng,
-                            |arena: &MinIdArena| arena.converged(),
-                            adversary_state.as_mut(),
-                        );
-                    let winner = arena.winning_node();
-                    let winner_id = arena.id(winner);
-                    assert!(
-                        (0..population)
-                            .filter(|&node| arena.id(node) == winner_id)
-                            .all(|node| arena.payload(node) == arena.payload(winner)),
-                        "every node holding the winning identifier must carry the same payload"
-                    );
-                    let row = arena.payload(winner);
-                    let winning = NoiseCorrection {
-                        id: winner_id,
-                        sum_correction: row[..k * n].to_vec(),
-                        count_correction: row[k * n..].to_vec(),
-                    };
-                    (winning, metrics, phase_converged, sim_time, sim.peak_in_flight)
-                }
-                NetworkModel::Rounds => {
-                    let correction_states: Vec<MinIdState<NoiseCorrection>> =
-                        corrections.iter().map(|c| MinIdState::new(c.id, c.clone())).collect();
-                    let phase = run_phase_until_with_adversary(
-                        &params.network,
-                        correction_states,
-                        churn,
-                        &DisseminationProtocol,
-                        exchanges,
-                        rng,
-                        converged,
-                        adversary_state.as_mut(),
-                    );
-                    let winner = winning_state(&phase.nodes);
-                    assert!(
-                        phase.nodes.iter().filter(|s| s.id == winner.id).all(|s| s.payload == winner.payload),
-                        "every node holding the winning identifier must carry the same payload"
-                    );
-                    let winning = winner.payload.clone();
-                    (winning, phase.metrics, phase.converged, phase.sim_time, phase.peak_in_flight)
-                }
-            };
+            let (winning_correction, dissemination_cost) =
+                driver.disseminate(&session, &corrections, reference, rng);
             audit.record_n(iteration, "noise correction proposal", DataClass::DataIndependent, population);
 
             // --- Computation step (c): perturbation and threshold decryption. ---
-            let weight = sum_phase.weight(reference);
+            let weight = driver.weight(reference);
             // Each unit is independent: one homomorphic add of the means
             // part and the noise part (same epidemic scaling because they
             // travelled in the same vector), then one threshold decryption.
             // No randomness is involved, so the parallel map is trivially
             // deterministic.
-            let decrypted: Vec<f64> = match (&sum_phase, &packing) {
-                (SumPhase::Arena { arena, .. }, Some(packer)) => {
-                    // The arena carries the plaintext lane integers by
-                    // construction, so "threshold decryption" is exactly
-                    // the identity read the surrogate backend performs.
-                    let blocks = packer.ciphertexts_for(entries);
-                    let unit_of = |u: usize| biguint_from_limbs(arena.unit_limbs(reference, u));
-                    let plaintexts: Vec<BigUint> =
-                        (0..blocks).map(|b| unit_of(b) + unit_of(blocks + b)).collect();
-                    let counter = unit_of(2 * blocks);
-                    packer.unpack(&plaintexts, entries, &counter, 2).iter().map(|v| v / weight).collect()
-                }
-                (SumPhase::PerNode(phase), Some(packer)) => {
+            let decrypted: Vec<f64> = match (driver.reference_sums(reference), &device.packer) {
+                (sums, Some(packer)) => {
                     // Packed: ⌈entries/L⌉ perturbed data units plus the
                     // counter — an ~L× cut in threshold decryptions.  The
                     // counter recovers the accumulated bias (2·B·C: means
                     // and noise are both biased) and feeds the overflow
                     // guard.
                     let blocks = packer.ciphertexts_for(entries);
-                    let cts = phase.nodes[reference].value.units();
-                    let plaintexts: Vec<BigUint> = pool.map_range(blocks + 1, |i| {
-                        if i < blocks {
-                            backend.threshold_decrypt(&backend.add(&cts[i], &cts[blocks + i]))
-                        } else {
-                            backend.threshold_decrypt(&cts[2 * blocks])
-                        }
-                    });
+                    let plaintexts: Vec<BigUint> = match sums {
+                        ReferenceSums::Units(cts) => pool.map_range(blocks + 1, |i| {
+                            if i < blocks {
+                                backend.threshold_decrypt(&backend.add(&cts[i], &cts[blocks + i]))
+                            } else {
+                                backend.threshold_decrypt(&cts[2 * blocks])
+                            }
+                        }),
+                        // The lane arena carries the plaintext lane integers
+                        // by construction, so "threshold decryption" is
+                        // exactly the identity read the surrogate performs.
+                        ReferenceSums::Plaintexts(units) => (0..=blocks)
+                            .map(|i| {
+                                if i < blocks {
+                                    &units[i] + &units[blocks + i]
+                                } else {
+                                    units[2 * blocks].clone()
+                                }
+                            })
+                            .collect(),
+                    };
                     let counter = &plaintexts[blocks];
                     packer
                         .unpack(&plaintexts[..blocks], entries, counter, 2)
@@ -788,16 +618,11 @@ impl<'a, B: CipherBackend> DistributedRun<'a, B> {
                         .map(|v| v / weight)
                         .collect()
                 }
-                (SumPhase::PerNode(phase), None) => {
-                    let cts = phase.nodes[reference].value.units();
-                    pool.map_range(entries, |i| {
-                        let perturbed = backend.add(&cts[i], &cts[entries + i]);
-                        backend.decode(&encoder, &backend.threshold_decrypt(&perturbed)) / weight
-                    })
-                }
-                (SumPhase::Arena { .. }, None) => {
-                    unreachable!("the arena path requires lane packing")
-                }
+                (ReferenceSums::Units(cts), None) => pool.map_range(entries, |i| {
+                    let perturbed = backend.add(&cts[i], &cts[entries + i]);
+                    backend.decode(&device.encoder, &backend.threshold_decrypt(&perturbed)) / weight
+                }),
+                (ReferenceSums::Plaintexts(_), None) => unreachable!("the lane arena requires lane packing"),
             };
             audit.record(iteration, "partial decryptions of perturbed means", DataClass::DifferentiallyPrivate);
 
@@ -835,34 +660,29 @@ impl<'a, B: CipherBackend> DistributedRun<'a, B> {
                 surviving_centroids: assignment.non_empty_clusters(),
                 participating_series: population,
             });
-            // Snapshot this iteration's fault counters (honest runs never
-            // materialise a state and report the zero statistics) and fold
-            // them into the security audit's running totals.
-            let iteration_faults = match adversary_state.as_mut() {
-                Some(state) => state.take_stats(),
-                None => FaultStats::ZERO,
-            };
-            if adversary_state.is_some() {
-                audit.record_faults(&iteration_faults);
+            // Snapshot this iteration's fault counters (a driver without a
+            // fault injector reports none, hence the zero statistics) and
+            // fold them into the security audit's running totals.
+            let iteration_faults = driver.take_faults();
+            if let Some(faults) = &iteration_faults {
+                audit.record_faults(faults);
             }
             network.push(IterationNetworkStats {
                 iteration,
-                sum_messages_per_node: sum_phase.metrics().messages_per_node(population)
-                    + counter_phase.metrics.messages_per_node(population),
-                dissemination_messages_per_node: dissemination_metrics.messages_per_node(population),
-                sum_rounds: sum_phase.metrics().rounds(),
-                dissemination_converged,
+                sum_messages_per_node: means_cost.metrics.messages_per_node(population)
+                    + counter_cost.metrics.messages_per_node(population),
+                dissemination_messages_per_node: dissemination_cost.metrics.messages_per_node(population),
+                sum_rounds: means_cost.metrics.rounds(),
+                dissemination_converged: dissemination_cost.converged,
                 noise_share_deficit,
                 sum_payload_ciphertexts,
                 sum_payload_bytes,
-                gossip_sim_time: sum_phase.sim_time()
-                    + counter_phase.sim_time
-                    + dissemination_sim_time,
-                peak_messages_in_flight: sum_phase
-                    .peak_in_flight()
-                    .max(counter_phase.peak_in_flight)
-                    .max(dissemination_peak_in_flight),
-                faults: iteration_faults,
+                gossip_sim_time: means_cost.sim_time + counter_cost.sim_time + dissemination_cost.sim_time,
+                peak_messages_in_flight: means_cost
+                    .peak_in_flight
+                    .max(counter_cost.peak_in_flight)
+                    .max(dissemination_cost.peak_in_flight),
+                faults: iteration_faults.unwrap_or(FaultStats::ZERO),
             });
 
             // --- Convergence step. ---
@@ -887,48 +707,395 @@ impl<'a, B: CipherBackend> DistributedRun<'a, B> {
     }
 }
 
-/// The epidemic-sum phase outcome in whichever storage ran it: per-node
-/// states (encrypted backends, round-based runs) or the struct-of-arrays
-/// lane arena (plaintext backends under the asynchronous model).
-enum SumPhase<B: CipherBackend> {
-    /// Per-node `EesState` vector, as produced by `run_phase`.
-    PerNode(PhaseOutcome<EesState<BackendVector<B>>>),
-    /// The lane arena plus the accounting `run_phase` would have reported.
-    Arena {
-        arena: EesUnitArena,
-        metrics: ExchangeMetrics,
-        sim_time: f64,
-        peak_in_flight: usize,
-    },
+/// The material a device encrypts its contribution with: the run's cipher
+/// backend (public material only on a node actor), the fixed-point encoder,
+/// the lane packer when packing is on, and the expected share count `nν`.
+#[derive(Debug)]
+pub(crate) struct Device<B: CipherBackend> {
+    pub(crate) backend: Arc<B>,
+    pub(crate) encoder: FixedPointEncoder,
+    pub(crate) packer: Option<PackedEncoder>,
+    pub(crate) num_noise_shares: usize,
 }
 
-impl<B: CipherBackend> SumPhase<B> {
+impl<B: CipherBackend> Device<B> {
+    /// One device's contribution to an iteration: the label of the centroid
+    /// closest to `series`, and the flat unit vector it gossips — the
+    /// encrypted means, then its encrypted noise shares in the same layout
+    /// (then, packed, one shared counter unit for the accumulated bias).
+    ///
+    /// The participant seed splits into a noise sub-stream and an
+    /// encryption sub-stream, so noise draws are identical whichever
+    /// encoding path runs (the packed path encrypts fewer ciphertexts, so
+    /// interleaving noise with encryption would desynchronise the two
+    /// pipelines and break their bit-equality).
+    pub(crate) fn contribute(
+        &self,
+        centroids: &[TimeSeries],
+        series: &TimeSeries,
+        participant_seed: u64,
+        sum_scale: f64,
+        count_scale: f64,
+    ) -> (usize, Vec<B::Unit>) {
+        let (k, n) = (centroids.len(), series.len());
+        let mut streams = crate::seedmix::device_streams(participant_seed);
+        let noise =
+            NoiseShareVector::generate(k, n, sum_scale, count_scale, self.num_noise_shares, &mut streams.noise);
+        let mut device_rng = streams.encryption;
+        let backend: &B = &self.backend;
+        if let Some(packer) = &self.packer {
+            // Lane-packed contribution: ⌈k·(n+1)/L⌉ means units, as many
+            // noise-share units (same lane layout, so the runner can add
+            // them pairwise before decryption), and one shared counter unit.
+            let (means, assigned) =
+                PackedMeans::initialise(centroids, series, backend, packer, &mut device_rng);
+            let mut flat = means.units;
+            flat.reserve(flat.len() + 1);
+            for m in packer.pack(&noise.flatten()) {
+                flat.push(backend.encrypt(&m, &mut device_rng));
+            }
+            flat.push(backend.encrypt(&packer.counter_plaintext(), &mut device_rng));
+            (assigned, flat)
+        } else {
+            let (diptych, assigned) =
+                Diptych::initialise(centroids, series, backend, &self.encoder, &mut device_rng);
+            // Flatten: all sum units (cluster-major), then all counts, then
+            // the participant's encrypted noise shares in the same layout.
+            let mut flat: Vec<B::Unit> = Vec::with_capacity(2 * k * (n + 1));
+            for mean in &diptych.means {
+                flat.extend(mean.sums.iter().cloned());
+            }
+            for mean in &diptych.means {
+                flat.push(mean.count.clone());
+            }
+            for share in noise.flatten() {
+                flat.push(backend.encrypt(&backend.encode(&self.encoder, share), &mut device_rng));
+            }
+            (assigned, flat)
+        }
+    }
+}
+
+/// What the shared sequence has set up by the time gossip starts: the run,
+/// the devices' encryption material (whose backend holds the key shares),
+/// the thread pool, and the gossip schedule's churn and round budget.
+pub(crate) struct Session<'r, 'a, B: CipherBackend> {
+    pub(crate) run: &'r DistributedRun<'a, B>,
+    pub(crate) device: Device<B>,
+    pub(crate) pool: rayon::ThreadPool,
+    pub(crate) churn: ChurnModel,
+    pub(crate) exchanges: u32,
+}
+
+/// One iteration's inputs to every device.
+pub(crate) struct Round<'c> {
+    pub(crate) centroids: &'c [TimeSeries],
+    pub(crate) participant_seeds: Vec<u64>,
+    pub(crate) sum_scale: f64,
+    pub(crate) count_scale: f64,
+}
+
+/// What one gossip phase cost, in the terms the iteration statistics
+/// report.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PhaseCost {
+    pub(crate) metrics: ExchangeMetrics,
+    /// Whether the phase's convergence predicate held (`true` for phases
+    /// run without one).
+    pub(crate) converged: bool,
+    pub(crate) sim_time: f64,
+    pub(crate) peak_in_flight: usize,
+}
+
+impl PhaseCost {
+    fn of<N>(phase: &PhaseOutcome<N>) -> Self {
+        Self {
+            metrics: phase.metrics,
+            converged: phase.converged,
+            sim_time: phase.sim_time,
+            peak_in_flight: phase.peak_in_flight,
+        }
+    }
+}
+
+/// The reference node's accumulated means-and-noise vector: units to
+/// threshold-decrypt, or — on the plaintext lane arena — the unit
+/// plaintexts themselves.
+pub(crate) enum ReferenceSums<'s, B: CipherBackend> {
+    Units(&'s [B::Unit]),
+    Plaintexts(Vec<BigUint>),
+}
+
+/// Where one run's gossip happens.  The shared sequence
+/// ([`DistributedRun::run_sequence`]) calls these in a fixed order each
+/// iteration — `sum_means`, `sum_counter`, `disseminate`, then the
+/// reference readouts and `take_faults` — and owns every master-RNG draw
+/// outside the gossip schedules themselves.
+pub(crate) trait GossipDriver<B: CipherBackend> {
+    /// Bytes each sum message carries on the wire beyond its units.
+    fn frame_overhead(&self) -> usize;
+
+    /// Readies the population once the keys and initial centroids exist.
+    fn start<R: Rng + ?Sized>(&mut self, session: &Session<'_, '_, B>, rng: &mut R);
+
+    /// Installs every device's contribution for `round` and runs the
+    /// means-and-noise sum; returns each device's cluster label and the
+    /// phase's cost.
+    fn sum_means<R: Rng + ?Sized>(
+        &mut self,
+        session: &Session<'_, '_, B>,
+        round: &Round<'_>,
+        rng: &mut R,
+    ) -> (Vec<usize>, PhaseCost);
+
+    /// Runs the cleartext contributor counter.
+    fn sum_counter<R: Rng + ?Sized>(&mut self, session: &Session<'_, '_, B>, rng: &mut R) -> PhaseCost;
+
+    /// A node's EESum weight after the means sum.
+    fn weight(&self, node: usize) -> f64;
+
+    /// A node's contributor-count estimate after the counter sum.
+    fn counter_estimate(&self, node: usize) -> Option<f64>;
+
+    /// Disseminates the correction proposals (one per node, in node
+    /// order); returns the agreed correction and the phase's cost.
+    /// `reference` names the node whose sums [`Self::reference_sums`]
+    /// reads next.
+    fn disseminate<R: Rng + ?Sized>(
+        &mut self,
+        session: &Session<'_, '_, B>,
+        corrections: &[NoiseCorrection],
+        reference: usize,
+        rng: &mut R,
+    ) -> (NoiseCorrection, PhaseCost);
+
+    /// The reference node's accumulated means-and-noise vector.
+    fn reference_sums(&self, reference: usize) -> ReferenceSums<'_, B>;
+
+    /// This iteration's fault counters, or `None` without a fault injector.
+    fn take_faults(&mut self) -> Option<FaultStats>;
+}
+
+/// The simulated driver: the round or event-driven gossip engines over
+/// in-memory stores, with the seeded fault injector when the adversary
+/// model is active.
+struct SimulatedDriver<B: CipherBackend> {
+    adversary: Option<AdversaryState>,
+    means: MeansStore<B>,
+    counter: Vec<SumState>,
+}
+
+/// The EESum store: per-node states (encrypted backends, round-based runs)
+/// or the struct-of-arrays lane arena (plaintext backends under the
+/// asynchronous model, the configuration meant to scale to 100k–10M nodes).
+enum MeansStore<B: CipherBackend> {
+    PerNode(Vec<EesState<BackendVector<B>>>),
+    Arena(EesUnitArena),
+}
+
+impl<B: CipherBackend> GossipDriver<B> for SimulatedDriver<B> {
+    fn frame_overhead(&self) -> usize {
+        0
+    }
+
+    fn start<R: Rng + ?Sized>(&mut self, session: &Session<'_, '_, B>, rng: &mut R) {
+        // The fault schedule runs on a dedicated seed-derived RNG
+        // sub-stream.  An inactive model draws NOTHING here and is never
+        // materialised, so honest runs stay bit-identical to every
+        // historical baseline seed.
+        let model = session.run.params.adversary;
+        self.adversary = model.is_active().then(|| AdversaryState::new(model, rng.gen()));
+    }
+
+    fn sum_means<R: Rng + ?Sized>(
+        &mut self,
+        session: &Session<'_, '_, B>,
+        round: &Round<'_>,
+        rng: &mut R,
+    ) -> (Vec<usize>, PhaseCost) {
+        // Release the previous iteration's stores before building this
+        // one's, so the peak footprint holds one population's state, not two.
+        self.means = MeansStore::PerNode(Vec::new());
+        self.counter = Vec::new();
+        let Session { run, device, pool, churn, exchanges } = session;
+        let series_all = run.data.series();
+        let population = series_all.len();
+        let contribute = |i: usize, series: &TimeSeries| {
+            let seed = round.participant_seeds[i];
+            device.contribute(round.centroids, series, seed, round.sum_scale, round.count_scale)
+        };
+        let mut labels = Vec::with_capacity(population);
+        match (&run.params.network, B::ENCRYPTED) {
+            (NetworkModel::Async(config), false) => {
+                let packer = device.packer.as_ref().expect("plaintext backends require lane packing");
+                let layout = packer.layout();
+                let value_bits = layout.lanes as u64 * layout.lane_bits;
+                let limbs_per_unit = value_bits.div_ceil(64) as usize + 1;
+                let entries = run.params.k * (run.data.series_length() + 1);
+                let units_per_node = 2 * packer.ciphertexts_for(entries) + 1;
+                let mut arena = EesUnitArena::new(population, units_per_node, limbs_per_unit);
+                let mut start = 0usize;
+                while start < population {
+                    let end = (start + ARENA_FILL_CHUNK).min(population);
+                    let chunk =
+                        pool.map(&series_all[start..end], |offset, series| contribute(start + offset, series));
+                    for (offset, (assigned, units)) in chunk.into_iter().enumerate() {
+                        labels.push(assigned);
+                        for (u, unit) in units.iter().enumerate() {
+                            arena.set_unit_from_digits(
+                                start + offset,
+                                u,
+                                device.backend.plaintext_of(unit).iter_u64_digits(),
+                            );
+                        }
+                    }
+                    start = end;
+                }
+                let (arena, metrics, sim_time, sim) = run_async_phase_with_adversary(
+                    config,
+                    arena,
+                    *churn,
+                    &EesSumProtocol,
+                    *exchanges,
+                    rng,
+                    self.adversary.as_mut(),
+                );
+                self.means = MeansStore::Arena(arena);
+                (labels, PhaseCost { metrics, converged: true, sim_time, peak_in_flight: sim.peak_in_flight })
+            }
+            (network, _) => {
+                let mut vectors = Vec::with_capacity(population);
+                for (assigned, units) in pool.map(series_all, contribute) {
+                    labels.push(assigned);
+                    vectors.push(BackendVector::new(device.backend.clone(), units));
+                }
+                let phase = run_phase_with_adversary(
+                    network,
+                    eesum_initial_states(vectors),
+                    *churn,
+                    &EesSumProtocol,
+                    *exchanges,
+                    rng,
+                    self.adversary.as_mut(),
+                );
+                let cost = PhaseCost::of(&phase);
+                self.means = MeansStore::PerNode(phase.nodes);
+                (labels, cost)
+            }
+        }
+    }
+
+    fn sum_counter<R: Rng + ?Sized>(&mut self, session: &Session<'_, '_, B>, rng: &mut R) -> PhaseCost {
+        let phase = run_phase_with_adversary(
+            &session.run.params.network,
+            sum_initial_states(&vec![1.0; session.run.data.len()]),
+            session.churn,
+            &PushPullSum,
+            session.exchanges,
+            rng,
+            self.adversary.as_mut(),
+        );
+        let cost = PhaseCost::of(&phase);
+        self.counter = phase.nodes;
+        cost
+    }
+
     fn weight(&self, node: usize) -> f64 {
-        match self {
-            SumPhase::PerNode(phase) => phase.nodes[node].weight,
-            SumPhase::Arena { arena, .. } => arena.weight(node),
+        match &self.means {
+            MeansStore::PerNode(nodes) => nodes[node].weight,
+            MeansStore::Arena(arena) => arena.weight(node),
         }
     }
 
-    fn metrics(&self) -> &ExchangeMetrics {
-        match self {
-            SumPhase::PerNode(phase) => &phase.metrics,
-            SumPhase::Arena { metrics, .. } => metrics,
+    fn counter_estimate(&self, node: usize) -> Option<f64> {
+        self.counter[node].estimate()
+    }
+
+    fn disseminate<R: Rng + ?Sized>(
+        &mut self,
+        session: &Session<'_, '_, B>,
+        corrections: &[NoiseCorrection],
+        _reference: usize,
+        rng: &mut R,
+    ) -> (NoiseCorrection, PhaseCost) {
+        let params = &session.run.params;
+        let population = corrections.len();
+        let kn = params.k * session.run.data.series_length();
+        match &params.network {
+            NetworkModel::Async(config) => {
+                // Struct-of-arrays dissemination: the event-driven engines
+                // drive a MinIdArena (one id lane plus flat payload rows)
+                // instead of per-node boxed NoiseCorrection clones.  The
+                // async schedule is state-independent, so the result is
+                // bit-identical to the boxed store from the same RNG.
+                let arena = MinIdArena::build(population, kn + params.k, |node, row| {
+                    let c = &corrections[node];
+                    row[..kn].copy_from_slice(&c.sum_correction);
+                    row[kn..].copy_from_slice(&c.count_correction);
+                    c.id
+                });
+                let (arena, metrics, sim_time, sim, converged) = run_async_phase_until_with_adversary(
+                    config,
+                    arena,
+                    session.churn,
+                    &DisseminationProtocol,
+                    session.exchanges,
+                    rng,
+                    |arena: &MinIdArena| arena.converged(),
+                    self.adversary.as_mut(),
+                );
+                let winner = arena.winning_node();
+                let winner_id = arena.id(winner);
+                assert!(
+                    (0..population)
+                        .filter(|&node| arena.id(node) == winner_id)
+                        .all(|node| arena.payload(node) == arena.payload(winner)),
+                    "every node holding the winning identifier must carry the same payload"
+                );
+                let row = arena.payload(winner);
+                let winning = NoiseCorrection {
+                    id: winner_id,
+                    sum_correction: row[..kn].to_vec(),
+                    count_correction: row[kn..].to_vec(),
+                };
+                (winning, PhaseCost { metrics, converged, sim_time, peak_in_flight: sim.peak_in_flight })
+            }
+            NetworkModel::Rounds => {
+                let states: Vec<MinIdState<NoiseCorrection>> =
+                    corrections.iter().map(|c| MinIdState::new(c.id, c.clone())).collect();
+                let phase = run_phase_until_with_adversary(
+                    &params.network,
+                    states,
+                    session.churn,
+                    &DisseminationProtocol,
+                    session.exchanges,
+                    rng,
+                    converged,
+                    self.adversary.as_mut(),
+                );
+                let winner = winning_state(&phase.nodes);
+                assert!(
+                    phase.nodes.iter().filter(|s| s.id == winner.id).all(|s| s.payload == winner.payload),
+                    "every node holding the winning identifier must carry the same payload"
+                );
+                (winner.payload.clone(), PhaseCost::of(&phase))
+            }
         }
     }
 
-    fn sim_time(&self) -> f64 {
-        match self {
-            SumPhase::PerNode(phase) => phase.sim_time,
-            SumPhase::Arena { sim_time, .. } => *sim_time,
+    fn reference_sums(&self, reference: usize) -> ReferenceSums<'_, B> {
+        match &self.means {
+            MeansStore::PerNode(nodes) => ReferenceSums::Units(nodes[reference].value.units()),
+            MeansStore::Arena(arena) => ReferenceSums::Plaintexts(
+                (0..arena.units_per_node())
+                    .map(|u| biguint_from_limbs(arena.unit_limbs(reference, u)))
+                    .collect(),
+            ),
         }
     }
 
-    fn peak_in_flight(&self) -> usize {
-        match self {
-            SumPhase::PerNode(phase) => phase.peak_in_flight,
-            SumPhase::Arena { peak_in_flight, .. } => *peak_in_flight,
-        }
+    fn take_faults(&mut self) -> Option<FaultStats> {
+        self.adversary.as_mut().map(AdversaryState::take_stats)
     }
 }
 
@@ -938,7 +1105,7 @@ fn biguint_from_limbs(limbs: &[u64]) -> BigUint {
 }
 
 /// Builds an [`Assignment`] from per-participant labels.
-pub(crate) fn assignment_from_labels(labels: &[usize], k: usize) -> Assignment {
+fn assignment_from_labels(labels: &[usize], k: usize) -> Assignment {
     let mut sizes = vec![0usize; k];
     for &l in labels {
         sizes[l] += 1;
@@ -948,14 +1115,8 @@ pub(crate) fn assignment_from_labels(labels: &[usize], k: usize) -> Assignment {
 
 /// Same far-away sentinel as the centralized surrogate (footnote 8): an
 /// aberrant mean that will attract no series at the next iteration.
-pub(crate) fn aberrant_centroid(series_length: usize, range_max: f64, cluster: usize) -> TimeSeries {
+fn aberrant_centroid(series_length: usize, range_max: f64, cluster: usize) -> TimeSeries {
     TimeSeries::constant(series_length, range_max * 1e6 * (cluster + 2) as f64)
-}
-
-/// Re-export used by tests and benches to check the wire model of a Diptych
-/// without running a whole iteration.
-pub fn diptych_wire_kilobytes(public_key: &PublicKey, k: usize, series_length: usize) -> f64 {
-    chiaroscuro_crypto::wire::MeansWireModel::new(public_key, k, series_length).set_kilobytes()
 }
 
 #[cfg(test)]

@@ -6,7 +6,8 @@
 //! master stream deals one `u64` per participant, and each participant
 //! seed splits into exactly two sub-streams via [`device_streams`] — one
 //! for noise-share generation, one for encryption.  The split order is
-//! load-bearing: the monolithic runner and the actor deployment both call
+//! load-bearing: the monolithic runner and the actor deployment both
+//! compute a device's contribution through the one function that calls
 //! [`device_streams`], which is what makes their per-device RNG
 //! consumption bit-identical (pinned by the actor-parity tests).
 

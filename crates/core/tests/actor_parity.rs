@@ -124,3 +124,38 @@ fn in_memory_and_socket_transports_agree() {
         MEANS_FRAME_OVERHEAD_BYTES,
     );
 }
+
+/// The shared convergence break: a run that stops on
+/// `convergence_threshold` before `max_iterations` must stop at the same
+/// iteration through the actors.
+#[test]
+fn actors_stop_on_the_convergence_threshold_with_the_monolith() {
+    let data = dataset(12);
+    let early = || ChiaroscuroParams {
+        max_iterations: 4,
+        strategy: BudgetStrategy::UniformFast { max_iterations: 4 },
+        convergence_threshold: 10.0,
+        ..params(true, 0.0)
+    };
+    let monolith = DistributedRun::new(early(), &data).execute(5);
+    assert!(monolith.report.converged, "the run must stop on the convergence threshold");
+    assert!(monolith.report.iterations.len() < 4, "the run must stop before max_iterations");
+    let actors = DistributedRun::new(early(), &data).via_actors(5);
+    assert_bit_identical(&actors, &monolith, 0);
+}
+
+/// Heavy churn with few exchanges leaves the correction dissemination
+/// unconverged; the agreed correction is then the global min-id proposal,
+/// which both drivers must pick identically.
+#[test]
+fn actors_match_the_monolith_when_dissemination_does_not_converge() {
+    let data = dataset(12);
+    let churny = || ChiaroscuroParams { exchanges_override: Some(4), ..params(false, 0.5) };
+    let monolith = DistributedRun::new(churny(), &data).execute(41);
+    assert!(
+        monolith.network.iter().any(|s| !s.dissemination_converged),
+        "4 exchanges at 50% churn should leave at least one dissemination unconverged"
+    );
+    let actors = DistributedRun::new(churny(), &data).via_actors(41);
+    assert_bit_identical(&actors, &monolith, 0);
+}
